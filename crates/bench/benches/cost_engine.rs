@@ -1,14 +1,15 @@
 //! Dense vs interval cost engine across horizon lengths.
 //!
-//! Demonstrates the tentpole claim of the engine refactor: the
-//! interval-sparse engine's `build`, `total_cost` and `shift_delta`
+//! The interval-sparse engine's `build`, `total_cost` and `shift_delta`
 //! costs depend on the number of breakpoints (constant here), while the
-//! dense oracle pays for every time unit of the horizon. The
-//! `shift_delta` case moves a `T/16`-long task by `T/2` — the move a
-//! local search on a real carbon trace would evaluate constantly.
+//! dense grid pays for every time unit of the horizon or of the move.
+//! The `shift_delta` case moves a `T/16`-long task by `T/2` — far
+//! beyond the local search's `µ = 10` window, which is where the
+//! interval engine wins.
 //!
-//! The companion `bench_cost` binary runs the same grid and emits a
-//! machine-readable `BENCH_cost.json`.
+//! The companion `bench_cost` binary runs the same grid, adds a
+//! quick-grid workflow priced under `µ`-bounded shifts (where the
+//! dense grid wins), and emits a machine-readable `BENCH_cost.json`.
 
 #![allow(missing_docs)] // criterion_group! generates undocumented fns
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -9,11 +9,11 @@
 //!
 //! "Before" is the per-time-unit [`DenseGrid`] backend (every candidate
 //! placement pays `O(task length)`, i.e. `O(horizon)` on the scaling
-//! fixture); "after" are the incremental [`IntervalEngine`] /
-//! [`FenwickEngine`] backends whose candidate pricing scales with the
-//! *structure* inside the touched window. The branch-and-bound explores
-//! an identical node sequence on every backend (the deltas are exact
-//! everywhere), so the wall-clock ratio isolates the costing layer. The
+//! fixture); "after" is the incremental [`IntervalEngine`] backend
+//! whose candidate pricing scales with the *structure* inside the
+//! touched window. The branch-and-bound explores an identical node
+//! sequence on both backends (the deltas are exact either way), so the
+//! wall-clock ratio isolates the costing layer. The
 //! headline number is `bnb_speedup` (dense / interval) at the longest
 //! horizon.
 //!
@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use cawo_bench::fixtures::{exact_chain_fixture, misaligned_chain_schedule, EXACT_HORIZONS};
-use cawo_core::{CostEngine, DenseGrid, FenwickEngine, Instance, IntervalEngine, Schedule};
+use cawo_core::{CostEngine, DenseGrid, Instance, IntervalEngine, Schedule};
 use cawo_exact::{
     dp_polynomial, dp_pseudo_polynomial, solve_exact_on, to_e_schedule_on, BnbConfig, Budget,
 };
@@ -35,8 +35,8 @@ use cawo_graph::generator::{generate, Family, GeneratorConfig};
 use cawo_heft::heft_schedule;
 use cawo_platform::{Cluster, DeadlineFactor, PowerProfile, ProfileConfig, Scenario, Time};
 
-/// Search-node budget for the branch-and-bound runs: every backend
-/// explores exactly this many nodes, so timings compare per-node cost.
+/// Search-node budget for the branch-and-bound runs: both backends
+/// explore exactly this many nodes, so timings compare per-node cost.
 const BNB_NODES: u64 = 60;
 
 /// Chain length of the scaling fixture.
@@ -155,15 +155,14 @@ fn main() {
         let (inst, profile) = exact_chain_fixture(horizon, BNB_TASKS, BNB_INTERVALS);
         rows.push(bnb_row::<DenseGrid>(&inst, &profile, horizon));
         rows.push(bnb_row::<IntervalEngine>(&inst, &profile, horizon));
-        rows.push(bnb_row::<FenwickEngine>(&inst, &profile, horizon));
         {
-            let r = &rows[rows.len() - 3..];
-            assert!(
-                r[0].cost == r[1].cost && r[0].cost == r[2].cost,
+            let r = &rows[rows.len() - 2..];
+            assert_eq!(
+                r[0].cost, r[1].cost,
                 "backends disagree at horizon {horizon}"
             );
-            assert!(
-                r[0].nodes == r[1].nodes && r[0].nodes == r[2].nodes,
+            assert_eq!(
+                r[0].nodes, r[1].nodes,
                 "backends explored different trees at horizon {horizon}"
             );
         }
@@ -184,15 +183,9 @@ fn main() {
             &seed,
             horizon,
         ));
-        rows.push(eschedule_row::<FenwickEngine>(
-            &chain_inst,
-            &chain_profile,
-            &seed,
-            horizon,
-        ));
 
         // The two DPs (engine column names their costing structure:
-        // both query PrefixCost oracles, the pseudo variant over every
+        // both query prefix-sum cost oracles, the pseudo variant over every
         // time unit, the polynomial one over E-schedule candidates).
         let (dp_sec, _, dp_cost, _) = timed(3, || {
             let res = dp_pseudo_polynomial(&chain_inst, &chain_profile);

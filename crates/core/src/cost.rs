@@ -21,9 +21,8 @@
 //!
 //! The *incremental* evaluators that power the local search live in
 //! [`crate::engine`]: the [`crate::engine::CostEngine`] trait with the
-//! per-time-unit [`crate::engine::DenseGrid`] oracle and the
-//! interval-sparse [`crate::engine::IntervalEngine`] production
-//! backend.
+//! per-time-unit [`crate::engine::DenseGrid`] and the interval-sparse
+//! [`crate::engine::IntervalEngine`] (the default).
 
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};

@@ -10,12 +10,14 @@ use super::CostEngine;
 
 /// Per-time-unit working-power grid with O(1) single-unit updates.
 ///
-/// State and build time are proportional to the horizon `T` — the
-/// pseudo-polynomial trap §3's definition invites, which is exactly why
-/// this engine is kept only as the oracle against which the
-/// interval-sparse [`super::IntervalEngine`] is verified. A candidate
-/// move is evaluated in `O(|shift|)` time units (the symmetric
-/// difference of the old and new execution windows).
+/// State and build time are proportional to the horizon `T`, but a
+/// candidate move is evaluated in `O(|shift|)` time units (the
+/// symmetric difference of the old and new execution windows). The
+/// local search shifts a task by at most `µ`, so each candidate costs
+/// `O(µ)` flat array reads at any horizon — fewer and cheaper than the
+/// interval-sparse [`super::IntervalEngine`]'s breakpoint walk. Whole-task
+/// placements over long windows (branch-and-bound) are where the
+/// interval engine wins instead.
 #[derive(Debug, Clone)]
 pub struct DenseGrid {
     /// Working power per time unit.

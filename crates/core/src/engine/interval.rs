@@ -30,8 +30,8 @@ use super::CostEngine;
 ///
 /// This is the incremental counterpart of Appendix A.1's polynomial
 /// sweep and the engine that keeps 100k-unit horizons and
-/// thousand-interval carbon traces affordable — the dense oracle pays
-/// for every time unit in between.
+/// thousand-interval carbon traces affordable — the dense grid pays
+/// for every time unit it builds or a placement spans.
 #[derive(Debug, Clone)]
 pub struct IntervalEngine {
     /// Segment start → working power over `[key, next key)`. Always

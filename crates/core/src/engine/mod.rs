@@ -6,16 +6,19 @@
 //! trait abstracts those queries so algorithms can be written once and
 //! run against either backend:
 //!
-//! * [`DenseGrid`] — the original per-time-unit working-power array.
-//!   Pseudo-polynomial (state and build time scale with the horizon
-//!   `T`), trivially correct, kept as the test oracle.
+//! * [`DenseGrid`] — a per-time-unit working-power array. Build time
+//!   and memory scale with the horizon `T`, but pricing a shift touches
+//!   only the `O(|shift|)` time units that change; the local search
+//!   moves a task by at most `µ`, so a candidate costs `O(µ)` at any
+//!   horizon, and at the paper's horizons it is the faster backend.
 //! * [`IntervalEngine`] — interval-sparse state keyed by power-profile
-//!   boundaries plus task start/end breakpoints. `total_cost` is
-//!   `O(N + J)` and `shift_delta`/`apply_shift` are `O(breakpoints
-//!   touched)`, independent of the horizon length — the incremental
-//!   counterpart of Appendix A.1's polynomial sweep, and the only
-//!   backend that stays affordable on thousand-interval real-world
-//!   carbon traces (see `cawo_platform`'s `TraceSource`).
+//!   boundaries plus task start/end breakpoints, the [`DefaultEngine`].
+//!   `total_cost` is `O(N + J)` and `shift_delta`/`apply_shift` are
+//!   `O(breakpoints touched)`, independent of the horizon length — the
+//!   incremental counterpart of Appendix A.1's polynomial sweep. It wins
+//!   where whole tasks are placed over long windows (branch-and-bound)
+//!   and on thousand-interval real-world carbon traces (see
+//!   `cawo_platform`'s `TraceSource`).
 //!
 //! Both engines evaluate the same objective as [`crate::carbon_cost`]:
 //! the green-budget overshoot `Σ_t max(P_t − G_t, 0)` integrated over
@@ -28,12 +31,10 @@ use crate::enhanced::Instance;
 use crate::schedule::Schedule;
 
 mod dense;
-mod fenwick;
 mod interval;
 pub mod reanswer;
 
 pub use dense::DenseGrid;
-pub use fenwick::{Fenwick, FenwickEngine, PrefixCost};
 pub use interval::IntervalEngine;
 pub use reanswer::{profile_divergence, reanswer_cost, repair_for_deadline};
 
@@ -140,30 +141,31 @@ pub trait CostEngine {
     }
 }
 
+/// The backend every wrapper without an engine parameter uses
+/// ([`crate::local_search()`], the exact solvers' default entry points).
+/// [`EngineKind::default`] names the same backend.
+pub type DefaultEngine = IntervalEngine;
+
 /// Selects a [`CostEngine`] implementation at run time (CLI flag,
 /// [`crate::variant::RunParams`], experiment configs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Per-time-unit [`DenseGrid`] — the pseudo-polynomial oracle.
+    /// Per-time-unit [`DenseGrid`] — `O(|shift|)` pricing.
     Dense,
-    /// Interval-sparse [`IntervalEngine`] — the production default.
+    /// Interval-sparse [`IntervalEngine`] — the [`DefaultEngine`].
     #[default]
     Interval,
-    /// Difference-array [`FenwickEngine`] — prefix-sum levels in a
-    /// binary indexed tree; the exact solvers' alternative backend.
-    Fenwick,
 }
 
 impl EngineKind {
-    /// All engines, oracle first.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Dense, EngineKind::Interval, EngineKind::Fenwick];
+    /// All engines.
+    pub const ALL: [EngineKind; 2] = [EngineKind::Dense, EngineKind::Interval];
 
-    /// Stable label (`"dense"` / `"interval"` / `"fenwick"`).
+    /// Stable label (`"dense"` / `"interval"`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Dense => DenseGrid::NAME,
             EngineKind::Interval => IntervalEngine::NAME,
-            EngineKind::Fenwick => FenwickEngine::NAME,
         }
     }
 
@@ -225,8 +227,8 @@ mod tests {
         }
         assert_eq!(EngineKind::parse("sparse"), None);
         assert_eq!(EngineKind::default(), EngineKind::Interval);
+        assert_eq!(EngineKind::default().name(), DefaultEngine::NAME);
         assert_eq!(EngineKind::Dense.to_string(), "dense");
         assert_eq!(EngineKind::Interval.to_string(), "interval");
-        assert_eq!(EngineKind::Fenwick.to_string(), "fenwick");
     }
 }

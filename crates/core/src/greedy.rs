@@ -372,9 +372,9 @@ mod tests {
         let cfg = GreedyConfig::new(Score::Pressure, true, true);
         let (sched, engine) = greedy_schedule_with_engine::<IntervalEngine>(&inst, &profile, cfg);
         assert_eq!(engine.total_cost(), carbon_cost(&inst, &sched, &profile));
-        let (sched2, oracle) = greedy_schedule_with_engine::<DenseGrid>(&inst, &profile, cfg);
+        let (sched2, dense) = greedy_schedule_with_engine::<DenseGrid>(&inst, &profile, cfg);
         assert_eq!(sched, sched2, "engine choice must not affect greedy");
-        assert_eq!(oracle.total_cost(), engine.total_cost());
+        assert_eq!(dense.total_cost(), engine.total_cost());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   oracle,
 //! * [`engine`] — the [`engine::CostEngine`] trait behind all
 //!   incremental cost evaluation, with two interchangeable backends:
-//!   the per-time-unit [`engine::DenseGrid`] oracle and the
-//!   interval-sparse [`engine::IntervalEngine`] whose operations cost
+//!   the per-time-unit [`engine::DenseGrid`] (a shift costs
+//!   `O(|shift|)`) and the interval-sparse [`engine::IntervalEngine`]
+//!   (the [`engine::DefaultEngine`]) whose operations cost
 //!   `O(breakpoints touched)` instead of `O(horizon)`,
 //! * [`bounds`] — earliest/latest start times (EST/LST) with dynamic
 //!   updates after each placement (§5.2),
@@ -39,14 +40,13 @@ pub use cost::{
     carbon_cost, carbon_cost_from, carbon_cost_naive, energy_report, Cost, EnergyReport,
 };
 pub use engine::{
-    profile_divergence, reanswer_cost, repair_for_deadline, CostEngine, DenseGrid, EngineKind,
-    Fenwick, FenwickEngine, IntervalEngine, PrefixCost,
+    profile_divergence, reanswer_cost, repair_for_deadline, CostEngine, DefaultEngine, DenseGrid,
+    EngineKind, IntervalEngine,
 };
 pub use enhanced::{Instance, NodeKind, UnitId};
 pub use greedy::{greedy_schedule, greedy_schedule_with_engine, GreedyConfig};
 pub use local_search::{
-    local_search, local_search_on_engine, local_search_with_engine, local_search_with_policy,
-    LocalSearchStats, LsPolicy,
+    local_search, local_search_on_engine, local_search_with_engine, LocalSearchStats, LsPolicy,
 };
 pub use schedule::{Schedule, ScheduleError};
 pub use scores::Score;

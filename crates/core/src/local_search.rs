@@ -17,12 +17,11 @@
 //! [`CostEngine`]: candidate shifts are priced via
 //! [`CostEngine::shift_delta`] without cloning or re-costing the
 //! schedule, and the search is generic over the backend — the
-//! interval-sparse [`IntervalEngine`] by default, the dense oracle on
-//! request.
+//! [`DefaultEngine`] unless the caller names another.
 
 use cawo_platform::{PowerProfile, Time};
 
-use crate::engine::{CostEngine, IntervalEngine};
+use crate::engine::{CostEngine, DefaultEngine};
 use crate::enhanced::Instance;
 use crate::schedule::Schedule;
 
@@ -53,28 +52,16 @@ pub enum LsPolicy {
 }
 
 /// Runs the local search in place with the paper's first-improvement
-/// policy and the default ([`IntervalEngine`]) cost backend. `mu` is the
-/// shift window (paper: 10). Returns statistics; the schedule is only
-/// ever improved.
+/// policy and the [`DefaultEngine`] cost backend. `mu` is the shift
+/// window (paper: 10). Returns statistics; the schedule is only ever
+/// improved.
 pub fn local_search(
     inst: &Instance,
     profile: &PowerProfile,
     sched: &mut Schedule,
     mu: Time,
 ) -> LocalSearchStats {
-    local_search_with_policy(inst, profile, sched, mu, LsPolicy::FirstImprovement)
-}
-
-/// Runs the local search with an explicit move-acceptance policy on the
-/// default ([`IntervalEngine`]) cost backend.
-pub fn local_search_with_policy(
-    inst: &Instance,
-    profile: &PowerProfile,
-    sched: &mut Schedule,
-    mu: Time,
-    policy: LsPolicy,
-) -> LocalSearchStats {
-    local_search_with_engine::<IntervalEngine>(inst, profile, sched, mu, policy)
+    local_search_with_engine::<DefaultEngine>(inst, profile, sched, mu, LsPolicy::FirstImprovement)
 }
 
 /// Runs the local search on an explicit [`CostEngine`] backend, building
@@ -340,7 +327,7 @@ mod tests {
         // Both engines return *exact* deltas, so the deterministic hill
         // climber must make the same moves on either backend — the
         // resulting schedules are equal, not merely equal-cost.
-        use crate::engine::DenseGrid;
+        use crate::engine::{DenseGrid, IntervalEngine};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
@@ -434,15 +421,20 @@ mod tests {
             let mut first = asap.clone();
             let mut best = asap.clone();
             let base = carbon_cost(&inst, &asap, &profile);
-            let fs = local_search_with_policy(
+            let fs = local_search_with_engine::<DefaultEngine>(
                 &inst,
                 &profile,
                 &mut first,
                 8,
                 LsPolicy::FirstImprovement,
             );
-            let bs =
-                local_search_with_policy(&inst, &profile, &mut best, 8, LsPolicy::BestImprovement);
+            let bs = local_search_with_engine::<DefaultEngine>(
+                &inst,
+                &profile,
+                &mut best,
+                8,
+                LsPolicy::BestImprovement,
+            );
             let fc = carbon_cost(&inst, &first, &profile);
             let bc = carbon_cost(&inst, &best, &profile);
             assert!(fc <= base && bc <= base, "trial {trial}");
@@ -460,9 +452,21 @@ mod tests {
         let inst = single_task(2, 10);
         let profile = PowerProfile::from_parts(vec![0, 3, 5, 8, 10], vec![0, 6, 0, 10]);
         let mut first = Schedule::new(vec![0]);
-        local_search_with_policy(&inst, &profile, &mut first, 10, LsPolicy::FirstImprovement);
+        local_search_with_engine::<DefaultEngine>(
+            &inst,
+            &profile,
+            &mut first,
+            10,
+            LsPolicy::FirstImprovement,
+        );
         let mut best = Schedule::new(vec![0]);
-        local_search_with_policy(&inst, &profile, &mut best, 10, LsPolicy::BestImprovement);
+        local_search_with_engine::<DefaultEngine>(
+            &inst,
+            &profile,
+            &mut best,
+            10,
+            LsPolicy::BestImprovement,
+        );
         assert_eq!(carbon_cost(&inst, &best, &profile), 0);
         assert!(carbon_cost(&inst, &best, &profile) <= carbon_cost(&inst, &first, &profile));
         assert_eq!(best.start(0), 8);

@@ -6,7 +6,7 @@
 
 use cawo_platform::{PowerProfile, Time};
 
-use crate::engine::{CostEngine, DenseGrid, EngineKind, FenwickEngine, IntervalEngine};
+use crate::engine::{CostEngine, DenseGrid, EngineKind, IntervalEngine};
 use crate::enhanced::Instance;
 use crate::greedy::{greedy_schedule, greedy_schedule_with_engine, GreedyConfig};
 use crate::local_search::{local_search_on_engine, LsPolicy};
@@ -14,7 +14,7 @@ use crate::schedule::Schedule;
 use crate::scores::Score;
 
 /// Tunable parameters shared by all variants (paper defaults: `k = 3`,
-/// `µ = 10`; cost engine: interval-sparse).
+/// `µ = 10`; cost engine: [`crate::engine::DefaultEngine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunParams {
     /// Local-search window `µ`.
@@ -26,7 +26,8 @@ pub struct RunParams {
     pub refine_cap: usize,
     /// Incremental cost backend for the `-LS` phase. Both backends
     /// produce identical schedules (the deltas are exact either way);
-    /// [`EngineKind::Dense`] re-enables the pseudo-polynomial oracle.
+    /// [`EngineKind::Dense`] trades pricing that does not grow with the
+    /// horizon for flat `O(|shift|)` array reads.
     pub engine: EngineKind,
 }
 
@@ -225,7 +226,6 @@ impl Variant {
                 match params.engine {
                     EngineKind::Dense => run_ls::<DenseGrid>(inst, profile, cfg, params.mu),
                     EngineKind::Interval => run_ls::<IntervalEngine>(inst, profile, cfg, params.mu),
-                    EngineKind::Fenwick => run_ls::<FenwickEngine>(inst, profile, cfg, params.mu),
                 }
             }
         }

@@ -34,7 +34,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use cawo_core::{
-    Bounds, Cost, CostEngine, DenseGrid, EngineKind, FenwickEngine, Instance, IntervalEngine,
+    Bounds, Cost, CostEngine, DefaultEngine, DenseGrid, EngineKind, Instance, IntervalEngine,
     Schedule,
 };
 use cawo_graph::NodeId;
@@ -497,11 +497,11 @@ fn execute_unit<E: CostEngine + Clone>(
 }
 
 /// Solves an instance to optimality (subject to `config.budget`) on the
-/// default (interval-sparse) cost engine.
+/// [`DefaultEngine`].
 ///
 /// Panics if the deadline is below the ASAP makespan.
 pub fn solve_exact(inst: &Instance, profile: &PowerProfile, config: BnbConfig) -> BnbResult {
-    solve_exact_on::<IntervalEngine>(inst, profile, config)
+    solve_exact_on::<DefaultEngine>(inst, profile, config)
 }
 
 /// Solves an instance to optimality on an explicit cost-engine backend.
@@ -742,7 +742,6 @@ impl BnbSolver {
         let res = match self.engine {
             EngineKind::Dense => solve_exact_on::<DenseGrid>(inst, profile, config),
             EngineKind::Interval => solve_exact_on::<IntervalEngine>(inst, profile, config),
-            EngineKind::Fenwick => solve_exact_on::<FenwickEngine>(inst, profile, config),
         };
         let lower_bound = res.optimal.then_some(res.cost);
         Ok(SolveResult {
@@ -942,13 +941,12 @@ mod tests {
                 solve_exact_on::<cawo_core::DenseGrid>(&inst, &profile, BnbConfig::default());
             let sparse =
                 solve_exact_on::<cawo_core::IntervalEngine>(&inst, &profile, BnbConfig::default());
-            let fenwick =
-                solve_exact_on::<cawo_core::FenwickEngine>(&inst, &profile, BnbConfig::default());
             assert_eq!(dense.cost, sparse.cost, "trial {trial}");
-            assert_eq!(dense.cost, fenwick.cost, "trial {trial}");
-            // Identical pruning order ⇒ identical node counts too.
+            // Identical pruning order ⇒ identical node counts and
+            // schedules too, so result digests do not depend on the
+            // engine.
             assert_eq!(dense.nodes, sparse.nodes, "trial {trial}");
-            assert_eq!(dense.nodes, fenwick.nodes, "trial {trial}");
+            assert_eq!(dense.schedule, sparse.schedule, "trial {trial}");
         }
     }
 

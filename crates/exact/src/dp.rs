@@ -15,14 +15,13 @@
 //! exact for arbitrary budgets.
 //!
 //! Neither DP ever re-prices a candidate schedule: every transition is
-//! answered from two [`PrefixCost`] prefix-sum oracles (active and idle
-//! platform power) in `O(log J)` — the engine-backed incremental
-//! costing of `cawo_core::engine`, specialised to the uniprocessor
-//! setting.
+//! answered from two `PrefixCost` prefix-sum oracles (active and idle
+//! platform power) in `O(log J)` — the incremental costing of
+//! `cawo_core::engine`, specialised to the uniprocessor setting.
 
 use std::time::Instant;
 
-use cawo_core::{Cost, Instance, PrefixCost, Schedule};
+use cawo_core::{Cost, Instance, Schedule};
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
 
@@ -30,6 +29,59 @@ use crate::solver::{
     heuristic_incumbent, require_feasible, Budget, SolveError, SolveResult, SolveStats,
     SolveStatus, Solver,
 };
+
+/// Static piecewise-constant cumulative cost: for a constant platform
+/// power `p`, [`PrefixCost::cum`] returns `Σ_{t<x} max(p − G(t), 0)` in
+/// `O(log J)` after `O(J)` prefix-sum preprocessing.
+///
+/// The DPs build two of these (active power, idle power) and answer
+/// every `Opt(i, t)` transition from them — no per-candidate re-pricing
+/// of the schedule.
+#[derive(Debug, Clone)]
+struct PrefixCost {
+    boundaries: Vec<Time>,
+    /// Per-unit-time cost within each interval.
+    rate: Vec<u64>,
+    /// Cumulative cost at each boundary.
+    prefix: Vec<u64>,
+}
+
+impl PrefixCost {
+    /// Precomputes the prefix sums for platform power `p` over the
+    /// profile's intervals.
+    fn new(profile: &PowerProfile, p: u64) -> Self {
+        let boundaries = profile.boundaries().to_vec();
+        let mut rate = Vec::with_capacity(profile.interval_count());
+        let mut prefix = Vec::with_capacity(boundaries.len());
+        prefix.push(0);
+        for j in 0..profile.interval_count() {
+            let r = p.saturating_sub(profile.budget(j));
+            let (b, e) = profile.interval_span(j);
+            rate.push(r);
+            prefix.push(prefix[j] + r * (e - b));
+        }
+        PrefixCost {
+            boundaries,
+            rate,
+            prefix,
+        }
+    }
+
+    /// `Σ_{t < x} max(p − G(t), 0)` for `x ≤ T`.
+    fn cum(&self, x: Time) -> u64 {
+        debug_assert!(self.boundaries.last().is_some_and(|&b| x <= b));
+        let j = match self.boundaries.binary_search(&x) {
+            Ok(j) => return self.prefix[j.min(self.prefix.len() - 1)],
+            Err(j) => j - 1,
+        };
+        self.prefix[j] + self.rate[j] * (x - self.boundaries[j])
+    }
+
+    /// Cost of the window `[a, b)`.
+    fn window(&self, a: Time, b: Time) -> u64 {
+        self.cum(b) - self.cum(a)
+    }
+}
 
 /// Result of an exact uniprocessor optimisation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -430,6 +482,19 @@ mod tests {
             }],
             0,
         )
+    }
+
+    #[test]
+    fn prefix_cost_queries() {
+        let profile = PowerProfile::from_parts(vec![0, 10, 20], vec![3, 8]);
+        let c = PrefixCost::new(&profile, 5);
+        // Rates: max(5-3,0)=2 then max(5-8,0)=0.
+        assert_eq!(c.cum(0), 0);
+        assert_eq!(c.cum(4), 8);
+        assert_eq!(c.cum(10), 20);
+        assert_eq!(c.cum(15), 20);
+        assert_eq!(c.cum(20), 20);
+        assert_eq!(c.window(5, 12), 10);
     }
 
     #[test]

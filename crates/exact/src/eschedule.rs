@@ -19,7 +19,7 @@
 //! instead of a full-schedule re-evaluation per candidate.
 
 use cawo_core::{
-    Cost, CostEngine, DenseGrid, EngineKind, FenwickEngine, Instance, IntervalEngine, Schedule,
+    Cost, CostEngine, DefaultEngine, DenseGrid, EngineKind, Instance, IntervalEngine, Schedule,
 };
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
@@ -68,8 +68,7 @@ fn is_boundary(profile: &PowerProfile, t: Time) -> bool {
 
 /// Transforms a valid uniprocessor schedule into an E-schedule of equal
 /// or lower carbon cost (Lemma 4.2's constructive argument) on the
-/// default (interval-sparse) cost engine. Returns the transformed
-/// schedule and its cost.
+/// [`DefaultEngine`]. Returns the transformed schedule and its cost.
 ///
 /// Panics if the instance uses more than one execution unit.
 pub fn to_e_schedule(
@@ -77,7 +76,7 @@ pub fn to_e_schedule(
     profile: &PowerProfile,
     sched: &Schedule,
 ) -> (Schedule, Cost) {
-    to_e_schedule_on::<IntervalEngine>(inst, profile, sched)
+    to_e_schedule_on::<DefaultEngine>(inst, profile, sched)
 }
 
 /// [`to_e_schedule`] on an explicit cost-engine backend. Every backend
@@ -216,7 +215,6 @@ impl Solver for EscheduleSolver {
         let (schedule, cost) = match self.engine {
             EngineKind::Dense => to_e_schedule_on::<DenseGrid>(inst, profile, &seed),
             EngineKind::Interval => to_e_schedule_on::<IntervalEngine>(inst, profile, &seed),
-            EngineKind::Fenwick => to_e_schedule_on::<FenwickEngine>(inst, profile, &seed),
         };
         Ok(SolveResult {
             schedule,

@@ -31,8 +31,8 @@
 //! that CLIs and experiment grids select from. The solvers' inner loops
 //! price candidates through `cawo_core`'s incremental [`CostEngine`]
 //! machinery (placement deltas, prefix-sum oracles) — never by
-//! re-evaluating whole schedules with `carbon_cost`, which is reserved
-//! for tests and debug oracles.
+//! re-evaluating whole schedules per candidate. `carbon_cost` prices
+//! only finished schedules: incumbents and reported results.
 //!
 //! [`CostEngine`]: cawo_core::CostEngine
 

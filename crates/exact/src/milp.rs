@@ -24,7 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use cawo_core::Instance;
+use cawo_core::{carbon_cost, Instance};
 use cawo_lp::{LpStatus, SimplexOptions, SimplexSolver};
 use cawo_platform::{PowerProfile, Time};
 
@@ -35,7 +35,7 @@ use crate::solver::{
     heuristic_incumbent, require_feasible, warm_incumbent, Budget, SolveError, SolveResult,
     SolveStats, SolveStatus, Solver, WarmStart,
 };
-use crate::sparse_model::{ceil_bound, engine_cost, SparseA4Model};
+use crate::sparse_model::{ceil_bound, SparseA4Model};
 
 /// Configuration of the dense MILP search.
 #[derive(Debug, Clone, Copy)]
@@ -681,7 +681,7 @@ impl MilpSolver {
                     // rounding that hits the node bound collapses the
                     // subtree (and often the whole search) instantly.
                     if let Some(sched) = round_schedule(&model, inst, profile.deadline(), &sol.x) {
-                        let cost = engine_cost(inst, profile, &sched);
+                        let cost = carbon_cost(inst, &sched, profile);
                         if cost < best_cost {
                             best_cost = cost;
                             best_sched = sched;
@@ -703,7 +703,7 @@ impl MilpSolver {
                                 // rounded schedule.
                                 if let Some(sched) = model.extract_schedule(&sol.x) {
                                     debug_assert!(sched.validate(inst, profile.deadline()).is_ok());
-                                    let cost = engine_cost(inst, profile, &sched);
+                                    let cost = carbon_cost(inst, &sched, profile);
                                     if cost < best_cost {
                                         best_cost = cost;
                                         best_sched = sched;

@@ -34,7 +34,7 @@
 
 use std::time::{Duration, Instant};
 
-use cawo_core::{Cost, CostEngine, EngineKind, Instance, IntervalEngine, Schedule, Variant};
+use cawo_core::{carbon_cost, Cost, EngineKind, Instance, Schedule, Variant};
 use cawo_graph::NodeId;
 use cawo_platform::PowerProfile;
 
@@ -295,7 +295,7 @@ pub(crate) fn warm_incumbent(
             repaired.as_ref()
         };
         if let Some(cand) = cand {
-            let cost = IntervalEngine::build(inst, cand, profile).total_cost();
+            let cost = carbon_cost(inst, cand, profile);
             if cost < best_cost {
                 best = cand.clone();
                 best_cost = cost;
@@ -480,13 +480,12 @@ pub(crate) fn single_chain(inst: &Instance) -> Result<(Vec<NodeId>, u64), SolveE
 }
 
 /// The strongest heuristic incumbent available without a search:
-/// `pressWR-LS` against the ASAP baseline, costed through the interval
-/// engine (never through `carbon_cost`).
+/// `pressWR-LS` against the ASAP baseline.
 pub(crate) fn heuristic_incumbent(inst: &Instance, profile: &PowerProfile) -> (Schedule, Cost) {
     let asap = inst.asap_schedule();
-    let asap_cost = IntervalEngine::build(inst, &asap, profile).total_cost();
+    let asap_cost = carbon_cost(inst, &asap, profile);
     let heur = Variant::PressWRLs.run(inst, profile);
-    let heur_cost = IntervalEngine::build(inst, &heur, profile).total_cost();
+    let heur_cost = carbon_cost(inst, &heur, profile);
     if heur_cost <= asap_cost {
         (heur, heur_cost)
     } else {

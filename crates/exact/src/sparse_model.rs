@@ -31,7 +31,7 @@
 //! branch-and-bound over the `s` columns is exact —
 //! [`crate::milp::MilpSolver`] drives exactly that.
 
-use cawo_core::{Bounds, Cost, CostEngine, Instance, IntervalEngine, Schedule};
+use cawo_core::{Bounds, Cost, Instance, Schedule};
 use cawo_graph::NodeId;
 use cawo_lp::{presolve, LpStatus, PresolveInfeasible, RowCmp, SimplexOptions, SparseLp};
 use cawo_platform::{PowerProfile, Time};
@@ -533,12 +533,6 @@ impl LpSolver {
             )),
         }
     }
-}
-
-/// Engine-certified cost of a schedule (used by the sparse solvers to
-/// report costs consistent with every other solver).
-pub(crate) fn engine_cost(inst: &Instance, profile: &PowerProfile, sched: &Schedule) -> Cost {
-    IntervalEngine::build(inst, sched, profile).total_cost()
 }
 
 #[cfg(test)]

@@ -226,8 +226,6 @@ pub enum Ctr {
     EnginePriceDense,
     /// `place_delta` pricing calls answered by `IntervalEngine`.
     EnginePriceInterval,
-    /// `place_delta` pricing calls answered by `FenwickEngine`.
-    EnginePriceFenwick,
     /// Exact-key cache hits (`cawo_cache`).
     CacheHit,
     /// Warm-state re-solves / incremental re-answers.
@@ -244,7 +242,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in declaration order.
-    pub const ALL: [Ctr; 26] = [
+    pub const ALL: [Ctr; 25] = [
         Ctr::LpPivotsPhase1,
         Ctr::LpPivotsPhase2,
         Ctr::LpPivotsDual,
@@ -264,7 +262,6 @@ impl Ctr {
         Ctr::CutsMir,
         Ctr::EnginePriceDense,
         Ctr::EnginePriceInterval,
-        Ctr::EnginePriceFenwick,
         Ctr::CacheHit,
         Ctr::CacheWarm,
         Ctr::CacheCold,
@@ -298,7 +295,6 @@ impl Ctr {
             Ctr::CutsMir => "cuts.mir",
             Ctr::EnginePriceDense => "engine.price.dense",
             Ctr::EnginePriceInterval => "engine.price.interval",
-            Ctr::EnginePriceFenwick => "engine.price.fenwick",
             Ctr::CacheHit => "cache.hit",
             Ctr::CacheWarm => "cache.warm",
             Ctr::CacheCold => "cache.cold",

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments [--scale quick|medium|full] [--seed N]
-//!             [--engine dense|interval|fenwick]
+//!             [--engine dense|interval]
 //!             [--solver NAME[,NAME...]] [--solver-budget SPEC]
 //!             [--trace CSV] [--cache] [--serial-timing] [--threads N]
 //!             [--log-level off|summary|trace] [--profile]
@@ -112,7 +112,7 @@ fn main() {
             }
             "--engine" => {
                 cfg.engine = EngineKind::parse(&next(&args, &mut i))
-                    .unwrap_or_else(|| die("expected --engine dense|interval|fenwick"));
+                    .unwrap_or_else(|| die("expected --engine dense|interval"));
             }
             "--solver" => {
                 for name in next(&args, &mut i).split(',') {

@@ -594,8 +594,8 @@ fn ext_heft(seed: u64) {
 /// alternative): quality and applied-move counts.
 fn ext_ls(seed: u64) {
     use cawo_core::{
-        carbon_cost, greedy_schedule, local_search_with_policy, GreedyConfig, Instance, LsPolicy,
-        Score,
+        carbon_cost, greedy_schedule, local_search_with_engine, DefaultEngine, GreedyConfig,
+        Instance, LsPolicy, Score,
     };
     use cawo_graph::generator::{generate, Family, GeneratorConfig};
     use cawo_heft::heft_schedule;
@@ -619,7 +619,7 @@ fn ext_ls(seed: u64) {
                 GreedyConfig::new(Score::Pressure, true, true),
             );
             let mut first = greedy.clone();
-            let fs = local_search_with_policy(
+            let fs = local_search_with_engine::<DefaultEngine>(
                 &inst,
                 &profile,
                 &mut first,
@@ -627,8 +627,13 @@ fn ext_ls(seed: u64) {
                 LsPolicy::FirstImprovement,
             );
             let mut best = greedy.clone();
-            let bs =
-                local_search_with_policy(&inst, &profile, &mut best, 10, LsPolicy::BestImprovement);
+            let bs = local_search_with_engine::<DefaultEngine>(
+                &inst,
+                &profile,
+                &mut best,
+                10,
+                LsPolicy::BestImprovement,
+            );
             let fc = carbon_cost(&inst, &first, &profile);
             let bc = carbon_cost(&inst, &best, &profile);
             ratios.push(match (bc, fc) {

@@ -1,5 +1,5 @@
-//! Engine parity on the paper grid: the dense (pseudo-polynomial
-//! oracle) and interval-sparse cost engines must produce *identical*
+//! Engine parity on the paper grid: the dense and interval-sparse
+//! (default) cost engines must produce *identical*
 //! carbon costs for all 16 CaWoSched variants plus the ASAP baseline on
 //! the paper's small platform, across every scenario shape.
 

@@ -95,14 +95,14 @@ const USAGE: &str = "usage:
                      [--solver bnb|dp|dp-pseudo|eschedule|ilp|milp|lp|milp-dense|lp-dense]
                      [--solver-budget SPEC] [--scenario S1..S4] [--trace CSV]
                      [--deadline 1|1.5|2|3] [--cluster tiny|small|large]
-                     [--engine dense|interval|fenwick] [--seed N]
+                     [--engine dense|interval] [--seed N]
                      [--threads N] [--cache] [--repeat N] [--gantt]
                      [--log-level off|summary|trace] [--profile]
                      [--obs-out trace.jsonl]
   cawosched evaluate [--dot FILE|-] [--json FILE] [--scenario S1..S4]
                      [--solver NAME[,NAME...]] [--solver-budget SPEC]
                      [--trace CSV] [--deadline ...] [--cluster ...]
-                     [--engine dense|interval|fenwick] [--seed N]
+                     [--engine dense|interval] [--seed N]
                      [--threads N] [--log-level off|summary|trace]
                      [--profile] [--obs-out trace.jsonl]
 

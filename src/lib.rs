@@ -10,7 +10,7 @@
 //! * [`heft`] — the HEFT list scheduler that produces the *fixed mapping
 //!   and ordering* the carbon-aware scheduler starts from.
 //! * [`core`] — the paper's contribution: communication-enhanced DAG,
-//!   pluggable carbon-cost engines (dense oracle / interval-sparse),
+//!   pluggable carbon-cost engines (dense / interval-sparse default),
 //!   ASAP baseline, the 16 CaWoSched greedy + local-search variants.
 //! * [`lp`] — the sparse bounded-variable revised-simplex LP engine
 //!   (CSC matrices, presolve, LU + eta updates, warm starts) behind

@@ -302,6 +302,8 @@ fn bad_arguments_fail_cleanly() {
         vec!["schedule", "--variant", "nope"],
         vec!["schedule", "--scenario", "S9"],
         vec!["schedule", "--engine", "nope"],
+        // A removed backend is rejected like any unknown name.
+        vec!["schedule", "--engine", "fenwick"],
         vec!["schedule", "--solver", "gurobi"],
         vec!["schedule", "--solver", "bnb,dp"],
         vec!["schedule", "--solver-budget", "fast"],
